@@ -1,0 +1,8 @@
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+import workloads  # noqa: E402
+
+workloads.prepare_imports()
