@@ -146,29 +146,6 @@ def make_pricing(rng: RandomStream) -> Pricing:
     )
 
 
-def _return_pricing(rng: RandomStream, sold: Pricing) -> dict:
-    quantity = rng.uniform_int(1, sold.quantity)
-    fraction = quantity / sold.quantity
-    amount = round(sold.net_paid * fraction, 2)
-    tax = round(sold.ext_tax * fraction, 2)
-    fee = round(1 + rng.uniform() * 99, 2)
-    ship = round(sold.ext_wholesale_cost * fraction * 0.5, 2)
-    refunded = round(amount * rng.uniform(), 2)
-    reversed_charge = round(amount - refunded, 2)
-    return {
-        "quantity": quantity,
-        "amount": amount,
-        "tax": tax,
-        "amount_inc_tax": round(amount + tax, 2),
-        "fee": fee,
-        "ship": ship,
-        "refunded": refunded,
-        "reversed": reversed_charge,
-        "credit": 0.0,
-        "net_loss": round(ship + fee + tax + reversed_charge * 0.1, 2),
-    }
-
-
 # ---------------------------------------------------------------------------
 # vectorized pricing kernels
 # ---------------------------------------------------------------------------

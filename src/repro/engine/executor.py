@@ -7,13 +7,17 @@ uncorrelated subqueries.
 
 Operator notes:
 
-* **hash join** — builds on the right input, probes with the left; a
-  sorted-key binary-search fast path handles the ubiquitous single
-  integer surrogate-key joins without Python-level hashing. NULL keys
-  never match. LEFT/RIGHT/FULL are supported; the residual (non-equi)
-  condition is applied before null-extension, as SQL requires.
-* **hash aggregate** — group keys are factorized to integer codes and
-  grouped with ``np.unique``; SUM/COUNT/AVG/MIN/MAX/STDDEV run as
+* **hash join** — builds on the right input, probes with the left by
+  binary search over the sorted build keys.  Every join key is one
+  int64 per row: a single INT/DATE key as is, any other key (strings,
+  floats, several columns) factorized jointly over both sides and
+  folded mixed-radix. NULL keys never match. LEFT/RIGHT/FULL are
+  supported; the residual (non-equi) condition is applied before
+  null-extension, as SQL requires.
+* **hash aggregate** — group keys are factorized to integer codes,
+  folded mixed-radix into one int64 key per row and grouped with
+  ``np.unique``; DISTINCT and INTERSECT/EXCEPT use the same row key;
+  SUM/COUNT/AVG/MIN/MAX/STDDEV run as
   vectorized segmented reductions. ROLLUP executes one pass per prefix
   grouping set. NULLs form a single group, per SQL.
 * **window** — aggregate windows without ORDER BY compute one value per
@@ -66,6 +70,7 @@ from .expr import EvalContext, evaluate, harmonize
 from .governor import ResourceContext, read_spill, write_spill
 from .parallel import (
     MIN_PARALLEL_ROWS,
+    MORSEL_ROWS,
     WorkerContext,
     WorkerPool,
     morsel_ranges,
@@ -82,10 +87,6 @@ from .virtual import VirtualTable
 #: both sides, so memory cost is rows x total width)
 _MAX_JOIN_ROWS = 20_000_000
 
-#: estimated per-entry overhead of a Python hash build (dict slot +
-#: key tuple + match list) used by the memory accounting
-_HASH_ENTRY_BYTES = 112.0
-
 #: estimated per-entry overhead of a Python set (star-filter key sets)
 _SET_ENTRY_BYTES = 64.0
 
@@ -101,15 +102,11 @@ def _partition_ids(vec: Vector, parts: int) -> np.ndarray:
     """Hash-partition ids in ``[0, parts)`` for every row of ``vec``
     (``parts`` must be a power of two).  NULL rows map to partition 0,
     so rows that group/join together always share a partition even if
-    their (irrelevant) null-slot fill data were to differ."""
-    if vec.kind is Kind.FLOAT:
-        bits = vec.data.view(np.uint64)
-    elif vec.kind is Kind.STR:
-        bits = np.fromiter(
-            (hash(v) & 0xFFFFFFFFFFFFFFFF for v in vec.data),
-            dtype=np.uint64,
-            count=len(vec.data),
-        )
+    their (irrelevant) null-slot fill data were to differ.  FLOAT and
+    STR values partition by their :func:`factorize` codes, which are
+    equal exactly when the values are (``-0.0`` and ``0.0`` included)."""
+    if vec.kind in (Kind.FLOAT, Kind.STR):
+        bits = factorize(vec).view(np.uint64)
     else:
         bits = vec.data.astype(np.int64).view(np.uint64)
     log2 = parts.bit_length() - 1
@@ -130,24 +127,99 @@ def _has_subquery(expr: A.Expr) -> bool:
 
 def factorize(vec: Vector) -> np.ndarray:
     """Map a vector to dense int codes; NULL gets code 0, values get codes
-    ordered by value starting at 1 (so codes also encode sort order)."""
-    codes = np.zeros(len(vec), dtype=np.int64)
+    ordered by value starting at 1 (so codes also encode sort order).
+
+    Strings rank through a dict instead of ``np.unique``'s comparison
+    sort over an object array: ``sorted`` over the distinct values gives
+    the same Python ``str`` order, and the row lookup is one C-level
+    ``map`` over the dict."""
     valid = ~vec.null
-    if valid.any():
-        _, inverse = np.unique(vec.data[valid], return_inverse=True)
-        codes[valid] = inverse + 1
+    all_valid = bool(valid.all())
+    values = vec.data if all_valid else vec.data[valid]
+    if values.dtype == object:
+        ranks = {v: i for i, v in enumerate(sorted(dict.fromkeys(values)), 1)}
+        ranked = np.fromiter(map(ranks.__getitem__, values),
+                             dtype=np.int64, count=len(values))
+    else:
+        _, inverse = np.unique(values, return_inverse=True)
+        ranked = inverse.astype(np.int64) + 1
+    if all_valid:
+        return ranked
+    codes = np.zeros(len(vec), dtype=np.int64)
+    codes[valid] = ranked
     return codes
 
 
+#: a mixed-radix fold re-densifies its running key before a multiply
+#: could pass this bound (int64 headroom)
+_FOLD_LIMIT = 1 << 62
+
+
+def _fold_codes(columns: list[np.ndarray]) -> np.ndarray:
+    """Fold per-column non-negative int codes into one int64 key per row
+    that ranks rows lexicographically by their codes: ``key = key *
+    radix + code`` with ``radix = max(code) + 1``.  Before a multiply
+    could overflow, the running key is re-densified (``np.unique``
+    inverse), which keeps its order, so the fold never falls back to a
+    row-wise unique."""
+    key = columns[0].astype(np.int64)
+    bound = int(key.max()) + 1 if len(key) else 1
+    for codes in columns[1:]:
+        radix = int(codes.max()) + 1 if len(codes) else 1
+        if bound * radix >= _FOLD_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1 if len(key) else 1
+        key = key * radix + codes
+        bound *= radix
+    return key
+
+
+def _row_key(vectors: list[Vector]) -> np.ndarray:
+    """One int64 key per row, equal exactly when the rows' values are
+    (NULLs equal each other) and ordered like the rows' stacked
+    :func:`factorize` codes — not dense."""
+    return _fold_codes([factorize(v) for v in vectors])
+
+
 def _row_codes(vectors: list[Vector]) -> np.ndarray:
-    """Factorize a list of key vectors into a single int64 row id."""
-    n = len(vectors[0]) if vectors else 0
-    if not vectors:
-        return np.zeros(n, dtype=np.int64)
-    columns = [factorize(v) for v in vectors]
-    stacked = np.stack(columns, axis=1)
-    _, row_ids = np.unique(stacked, axis=0, return_inverse=True)
-    return row_ids.astype(np.int64)
+    """Dense int64 row ids ``0..k-1`` over a list of key vectors, in
+    lexicographic order of the rows' factorize codes."""
+    _, row_ids = np.unique(_row_key(vectors), return_inverse=True)
+    return row_ids
+
+
+def _shared_ids(root: P.PlanNode) -> set[int]:
+    """Ids of the nodes reachable from ``root`` along more than one
+    path (CTE bodies referenced twice, star-filter dimension plans the
+    join above reuses).  Only these are memoized: every other
+    intermediate batch is freed as soon as its parent has consumed it,
+    inside the parent operator, instead of all at statement end."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for node in root.walk():
+        key = id(node)
+        (shared if key in seen else seen).add(key)
+    return shared
+
+
+def _joint_keys(lvecs: list[Vector], rvecs: list[Vector]):
+    """Equi-join keys for both sides as one INT vector each: every key
+    pair is factorized over both sides concatenated (so equal values get
+    equal codes across sides), then the codes fold into one int64 key.
+    A NULL in any key column makes the row's key NULL."""
+    n_left = len(lvecs[0])
+    codes = []
+    lnull = np.zeros(n_left, dtype=bool)
+    rnull = np.zeros(len(rvecs[0]), dtype=bool)
+    for lvec, rvec in zip(lvecs, rvecs):
+        both = Vector(lvec.kind, np.concatenate([lvec.data, rvec.data]),
+                      np.concatenate([lvec.null, rvec.null]))
+        codes.append(factorize(both))
+        lnull |= lvec.null
+        rnull |= rvec.null
+    key = _fold_codes(codes)
+    return (Vector(Kind.INT, key[:n_left], lnull),
+            Vector(Kind.INT, key[n_left:], rnull))
 
 
 class Executor:
@@ -169,6 +241,9 @@ class Executor:
         self._catalog = catalog
         self._ctx = EvalContext(run_subquery)
         self._cache: dict[int, Batch] = {}
+        #: ids of the nodes the plan references more than once, set by
+        #: the first (root) ``run``
+        self._shared: set[int] | None = None
         self._collector = collector
         self._resource = resource
         self._pool = pool
@@ -286,6 +361,8 @@ class Executor:
             # one check per operator dispatch bounds the reaction
             # latency to a single batch of work
             self._resource.check(type(node).__name__)
+        if self._shared is None:
+            self._shared = _shared_ids(node)
         key = id(node)
         collector = self._collector
         if key in self._cache:
@@ -298,7 +375,8 @@ class Executor:
             start = time.perf_counter()
             batch = self._dispatch(node)
             collector.record(node, batch.num_rows, time.perf_counter() - start)
-        self._cache[key] = batch
+        if key in self._shared:
+            self._cache[key] = batch
         return batch
 
     def _dispatch(self, node: P.PlanNode) -> Batch:
@@ -513,54 +591,39 @@ class Executor:
         rvecs = [evaluate(r, right, self._ctx) for _, r in keys]
         for i in range(len(keys)):
             lvecs[i], rvecs[i] = harmonize([lvecs[i], rvecs[i]])
-        int_path = len(keys) == 1 and lvecs[0].kind in (Kind.INT, Kind.DATE)
+        if len(keys) == 1 and lvecs[0].kind in (Kind.INT, Kind.DATE):
+            lkey, rkey = lvecs[0], rvecs[0]
+        else:
+            lkey, rkey = _joint_keys(lvecs, rvecs)
         if (self._track_mem or self._budgeted) and stats_node is not None:
-            build_bytes = float(sum(v.nbytes for v in rvecs))
-            if int_path:
-                # key copy + stable-sorted copy + sorted row-id array
-                build_bytes *= 3.0
-            else:
-                n_build = len(rvecs[0]) if rvecs else 0
-                build_bytes += _HASH_ENTRY_BYTES * n_build
+            # key copy + stable-sorted copy + sorted row-id array
+            build_bytes = 3.0 * rkey.nbytes
             if self._track_mem:
                 self._note_memory(stats_node, build_bytes)
             if self._budgeted and self._resource.over_budget(build_bytes):
-                return self._grace_pairs(
-                    lvecs, rvecs, int_path, build_bytes, stats_node
-                )
-        if int_path:
-            return self._int_key_pairs(lvecs[0], rvecs[0], stats_node)
-        return self._tuple_key_pairs(lvecs, rvecs)
+                return self._grace_pairs(lkey, rkey, build_bytes, stats_node)
+        return self._int_key_pairs(lkey, rkey, stats_node)
 
     def _grace_pairs(
         self,
-        lvecs: list[Vector],
-        rvecs: list[Vector],
-        int_path: bool,
+        lkey: Vector,
+        rkey: Vector,
         build_bytes: float,
         stats_node: P.PlanNode,
     ):
-        """Grace hash join: hash-partition both inputs on the first key
-        to temp files, then join partition pairs one at a time.  Every
-        key value lives in exactly one partition, and within a
+        """Grace hash join: hash-partition both inputs on the int join
+        key to temp files, then join partition pairs one at a time.
+        Every key value lives in exactly one partition, and within a
         partition row order is preserved, so concatenating partition
         pair lists and stable-sorting by left row index reproduces the
         in-memory join's output exactly."""
         resource = self._resource
         parts = resource.partitions_for(build_bytes)
         # NULL keys never match: drop them before partitioning
-        lvalid = ~lvecs[0].null
-        for v in lvecs[1:]:
-            lvalid &= ~v.null
-        rvalid = ~rvecs[0].null
-        for v in rvecs[1:]:
-            rvalid &= ~v.null
-        lrows = np.flatnonzero(lvalid)
-        rrows = np.flatnonzero(rvalid)
-        lids = _partition_ids(lvecs[0], parts)[lrows]
-        rids = _partition_ids(rvecs[0], parts)[rrows]
-        lkinds = [v.kind for v in lvecs]
-        rkinds = [v.kind for v in rvecs]
+        lrows = np.flatnonzero(~lkey.null)
+        rrows = np.flatnonzero(~rkey.null)
+        lids = _partition_ids(lkey, parts)[lrows]
+        rids = _partition_ids(rkey, parts)[rrows]
         # a spill partition is a morsel: both phases fan out over the
         # shared pool, with results collected in partition order
         pool = self._morsel_pool(len(lrows) + len(rrows))
@@ -571,11 +634,10 @@ class Executor:
             rsel = rrows[rids == p]
             if not len(lsel) or not len(rsel):
                 return None
-            arrays = {"lsel": lsel, "rsel": rsel}
-            for i, v in enumerate(lvecs):
-                arrays[f"l{i}"] = v.data[lsel]
-            for i, v in enumerate(rvecs):
-                arrays[f"r{i}"] = v.data[rsel]
+            # the array names count toward spilled_bytes: keep them
+            # fixed so spill totals stay comparable across versions
+            arrays = {"lsel": lsel, "rsel": rsel,
+                      "l0": lkey.data[lsel], "r0": rkey.data[rsel]}
             path = wctx.spill_path()
             return path, write_spill(path, arrays)
 
@@ -592,20 +654,11 @@ class Executor:
             arrays = read_spill(path)
             os.unlink(path)
             lsel, rsel = arrays["lsel"], arrays["rsel"]
-            no_nulls_l = np.zeros(len(lsel), dtype=bool)
-            no_nulls_r = np.zeros(len(rsel), dtype=bool)
-            sub_l = [
-                Vector(lkinds[i], arrays[f"l{i}"], no_nulls_l)
-                for i in range(len(lvecs))
-            ]
-            sub_r = [
-                Vector(rkinds[i], arrays[f"r{i}"], no_nulls_r)
-                for i in range(len(rvecs))
-            ]
-            if int_path:
-                li_local, ri_local = self._int_key_pairs(sub_l[0], sub_r[0])
-            else:
-                li_local, ri_local = self._tuple_key_pairs(sub_l, sub_r)
+            sub_l = Vector(lkey.kind, arrays["l0"],
+                           np.zeros(len(lsel), dtype=bool))
+            sub_r = Vector(rkey.kind, arrays["r0"],
+                           np.zeros(len(rsel), dtype=bool))
+            li_local, ri_local = self._int_key_pairs(sub_l, sub_r)
             return lsel[li_local], rsel[ri_local]
 
         probed = self._map_morsels(probe_partition, paths, pool,
@@ -630,10 +683,11 @@ class Executor:
         """Sorted-probe equi-join on a single integer key.
 
         The build (sort) runs once; the probe fans out over row-range
-        morsels of the left keys.  Each morsel emits its matches with
-        ascending left rows, and morsels cover ascending disjoint
-        ranges, so ordered concatenation reproduces the serial probe's
-        (li, ri) sequence exactly."""
+        morsels of the left keys (serially: chunks of ``_CHECK_EVERY``
+        keys, each behind one governor check).  Each morsel emits its
+        matches with ascending left rows, and morsels cover ascending
+        disjoint ranges, so ordered concatenation reproduces the
+        whole-input probe's (li, ri) sequence exactly."""
         rvalid = np.flatnonzero(~rvec.null)
         rkeys = rvec.data[rvalid]
         order = np.argsort(rkeys, kind="stable")
@@ -641,13 +695,17 @@ class Executor:
         rrows_sorted = rvalid[order]
         lvalid = np.flatnonzero(~lvec.null)
         lkeys = lvec.data[lvalid]
-        pool = self._morsel_pool(len(lkeys))
-        if pool is None:
-            return self._int_probe(lvalid, lkeys, rkeys_sorted, rrows_sorted)
-        ranges = morsel_ranges(len(lkeys))
+        n = len(lkeys)
+        pool = self._morsel_pool(n)
+        if pool is not None:
+            chunk = MORSEL_ROWS
+        else:
+            # serially, chunks only set the governor check cadence
+            chunk = _CHECK_EVERY if self._resource is not None else max(n, 1)
+        ranges = morsel_ranges(n, chunk) or [(0, 0)]
 
         def probe_morsel(rng, wctx):
-            wctx.check("HashJoin(morsel)")
+            wctx.check("HashJoin(probe)")
             start, stop = rng
             return Executor._int_probe(
                 lvalid[start:stop], lkeys[start:stop],
@@ -655,8 +713,8 @@ class Executor:
             )
         profile = (self._morsel_profile(pool)
                    if stats_node is not None else None)
-        parts = pool.map_morsels(probe_morsel, ranges, self._resource,
-                                 label="HashJoin(probe)", profile=profile)
+        parts = self._map_morsels(probe_morsel, ranges, pool,
+                                  label="HashJoin(probe)", profile=profile)
         if stats_node is not None:
             self._note_parallel(stats_node, pool, len(ranges), profile)
         return (
@@ -686,38 +744,6 @@ class Executor:
         else:
             ri = np.empty(0, dtype=np.int64)
         return li, ri
-
-    def _tuple_key_pairs(self, lvecs: list[Vector], rvecs: list[Vector]):
-        build: dict[tuple, list[int]] = {}
-        r_n = len(rvecs[0]) if rvecs else 0
-        rnull = np.zeros(r_n, dtype=bool)
-        for v in rvecs:
-            rnull |= v.null
-        for i in range(r_n):
-            if rnull[i]:
-                continue
-            key = tuple(v.data[i] for v in rvecs)
-            build.setdefault(key, []).append(i)
-        l_n = len(lvecs[0]) if lvecs else 0
-        lnull = np.zeros(l_n, dtype=bool)
-        for v in lvecs:
-            lnull |= v.null
-        li_parts: list[int] = []
-        ri_parts: list[int] = []
-        resource = self._resource
-        for i in range(l_n):
-            if resource is not None and i % _CHECK_EVERY == 0:
-                resource.check("HashJoin(probe)")
-            if lnull[i]:
-                continue
-            matches = build.get(tuple(v.data[i] for v in lvecs))
-            if matches:
-                li_parts.extend([i] * len(matches))
-                ri_parts.extend(matches)
-        return (
-            np.asarray(li_parts, dtype=np.int64),
-            np.asarray(ri_parts, dtype=np.int64),
-        )
 
     # -- aggregation ------------------------------------------------------------------
 
@@ -785,8 +811,8 @@ class Executor:
         aggregate each partition independently — partitions hold
         disjoint groups, so per-partition outputs concatenate without
         merging — then restore the in-memory pass's group order
-        (ascending stacked factorize codes of the active keys, exactly
-        what ``np.unique(row_ids)`` emits on the unpartitioned path;
+        (ascending :func:`_row_key` of the active keys, exactly what
+        ``np.unique`` over the row keys emits on the unpartitioned path;
         groups are distinct, so no ties).  When ``spill`` is set each
         partition detours through a temp file; the partition count
         comes from the budget, not the worker count, so spill totals
@@ -849,9 +875,8 @@ class Executor:
             return self._aggregate_pass_memory(node, child, group_vecs, active)
         result = Batch.concat(outs)
         group_names = [name for _, name in node.group_items][:active]
-        codes = [factorize(result.columns[name]) for name in group_names]
-        order = np.lexsort(tuple(reversed(codes)))
-        return result.take(order)
+        key = _row_key([result.columns[name] for name in group_names])
+        return result.take(np.argsort(key, kind="stable"))
 
     def _aggregate_pass_memory(
         self, node: P.Aggregate, child: Batch, group_vecs: list[Vector], active: int
@@ -859,9 +884,8 @@ class Executor:
         used = group_vecs[:active]
         n = child.num_rows
         if used:
-            row_ids = _row_codes(used)
             uniques, first_idx, inverse = np.unique(
-                row_ids, return_index=True, return_inverse=True
+                _row_key(used), return_index=True, return_inverse=True
             )
             n_groups = len(uniques)
         else:
@@ -955,13 +979,11 @@ class Executor:
     @staticmethod
     def _count_distinct(arg: Vector, inverse: np.ndarray, n_groups: int) -> Vector:
         valid = ~arg.null
-        codes = factorize(arg)
-        pairs = np.stack([inverse[valid], codes[valid]], axis=1)
-        if len(pairs):
-            uniq = np.unique(pairs, axis=0)
-            counts = np.bincount(uniq[:, 0], minlength=n_groups)
-        else:
-            counts = np.zeros(n_groups, dtype=np.int64)
+        groups = inverse[valid]
+        key = _fold_codes([groups, factorize(arg)[valid]])
+        # one representative row per distinct (group, value) pair
+        _, first = np.unique(key, return_index=True)
+        counts = np.bincount(groups[first], minlength=n_groups)
         return Vector(Kind.INT, counts.astype(np.int64), np.zeros(n_groups, dtype=bool))
 
     @staticmethod
@@ -1009,7 +1031,7 @@ class Executor:
         order = self._sort_indices(child, list(wf.order_by), pre_keys=[part_ids])
         sorted_parts = part_ids[order]
         key_vecs = [evaluate(k.expr, child, self._ctx) for k in wf.order_by]
-        order_codes = _row_codes(key_vecs)[order]
+        order_codes = _row_key(key_vecs)[order]
         boundaries = np.ones(n, dtype=bool)
         if n:
             boundaries[1:] = sorted_parts[1:] != sorted_parts[:-1]
@@ -1230,8 +1252,9 @@ class Executor:
     def _distinct(self, batch: Batch) -> Batch:
         if batch.num_rows == 0:
             return batch
-        row_ids = _row_codes(list(batch.columns.values()))
-        _, first_idx = np.unique(row_ids, return_index=True)
+        _, first_idx = np.unique(
+            _row_key(list(batch.columns.values())), return_index=True
+        )
         return batch.take(np.sort(first_idx))
 
     def _set_op(self, node: P.SetOpPlan) -> Batch:
@@ -1243,21 +1266,12 @@ class Executor:
         if node.op == "union":
             return self._distinct(Batch.concat([left, right]))
         # intersect / except use distinct-row semantics
-        combined = Batch.concat([left, right])
-        row_ids = _row_codes(list(combined.columns.values()))
-        left_ids = set(row_ids[: left.num_rows].tolist())
-        right_ids = set(row_ids[left.num_rows:].tolist())
-        if node.op == "intersect":
-            keep_ids = left_ids & right_ids
-        elif node.op == "except":
-            keep_ids = left_ids - right_ids
-        else:
+        if node.op not in ("intersect", "except"):
             raise ExecutionError(f"unknown set op {node.op}")
-        mask = np.fromiter(
-            (rid in keep_ids for rid in row_ids[: left.num_rows]),
-            dtype=bool,
-            count=left.num_rows,
-        )
+        combined = Batch.concat([left, right])
+        row_ids = _row_key(list(combined.columns.values()))
+        mask = np.isin(row_ids[: left.num_rows], row_ids[left.num_rows:],
+                       invert=node.op == "except")
         return self._distinct(left.filter(mask))
 
     def _rename(self, node: P.Rename) -> Batch:

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .batch import Batch
 from .errors import ExecutionError
-from .types import Kind, TableSchema
+from .types import TableSchema
 from .vector import Vector
 
 
@@ -97,12 +97,3 @@ class VirtualTable:
     append_columns = _read_only
     delete_where = _read_only
     update_rows = _read_only
-
-
-def bool_type():
-    """BOOL column type for system-table schemas (the TPC-DS schema
-    itself never declares booleans, so :mod:`repro.engine.types` has no
-    constructor for them)."""
-    from .types import SqlType
-
-    return SqlType("boolean", Kind.BOOL, 5)

@@ -1,6 +1,7 @@
 """Executor edge cases: empty inputs, degenerate limits, big keys,
 guard rails, and the Database trace facility."""
 
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -12,6 +13,9 @@ from repro.engine import (
     integer,
     varchar,
 )
+from repro.engine.executor import _row_codes, factorize
+from repro.engine.types import Kind
+from repro.engine.vector import Vector
 
 
 @pytest.fixture()
@@ -126,6 +130,29 @@ class TestBigValues:
     def test_unicode_strings(self, db):
         db.execute("INSERT INTO t VALUES (9, 'héllo')")
         assert db.execute("SELECT v FROM t WHERE k = 9").rows() == [("héllo",)]
+
+
+class TestRowCodes:
+    def test_redensify_matches_rowwise_unique(self):
+        # six ~5k-cardinality columns: the running mixed-radix key
+        # passes 2**62 at the fifth column and must re-densify
+        rng = np.random.default_rng(7)
+        n = 20_000
+        vectors = [
+            Vector(Kind.INT, rng.integers(0, 5_000, n),
+                   rng.random(n) < 0.05)
+            for _ in range(5)
+        ]
+        words = np.array([f"w{i:05d}" for i in range(5_000)], dtype=object)
+        vectors.append(Vector(Kind.STR, words[rng.integers(0, 5_000, n)],
+                              np.zeros(n, dtype=bool)))
+        codes = [factorize(v) for v in vectors]
+        radix_product = 1
+        for c in codes:
+            radix_product *= int(c.max()) + 1
+        assert radix_product > 2**62
+        _, want = np.unique(np.stack(codes, 1), axis=0, return_inverse=True)
+        assert np.array_equal(_row_codes(vectors), want.ravel())
 
 
 class TestTracing:

@@ -109,6 +109,21 @@ def test_union_all_length(rows_a, rows_b):
     assert len(out) == len(rows_a) + len(rows_b)
 
 
+def _null_first(row):
+    return [(v is not None, v if v is not None else 0) for v in row]
+
+
+#: equi-join predicates and the (k, g, x) positions they compare; the
+#: multi-column and FLOAT keys take the joint-factorized key path, and
+#: a NULL in any key column never matches
+JOIN_KEYS = [
+    ("a.k = b.k", (0,)),
+    ("a.k = b.k AND a.g = b.g", (0, 1)),
+    ("a.x = b.x", (2,)),
+    ("a.g = b.g AND a.x = b.x", (1, 2)),
+]
+
+
 @given(table_strategy, table_strategy)
 def test_join_matches_python(rows_a, rows_b):
     db = Database()
@@ -117,15 +132,21 @@ def test_join_matches_python(rows_a, rows_b):
             ColumnDef("k", integer()), ColumnDef("g", varchar(1)), ColumnDef("x", decimal()),
         ]))
         t.append_rows([list(r) for r in rows])
-    got = db.execute("SELECT COUNT(*) FROM a, b WHERE a.k = b.k").scalar()
-    want = sum(
-        1
-        for ka, _, _ in rows_a
-        if ka is not None
-        for kb, _, _ in rows_b
-        if kb == ka
-    )
-    assert got == want
+    # the reference joins the stored values (decimal storage may round)
+    stored_a = db.execute("SELECT k, g, x FROM a").rows()
+    stored_b = db.execute("SELECT k, g, x FROM b").rows()
+    for predicate, cols in JOIN_KEYS:
+        got = db.execute(
+            f"SELECT a.k, a.g, a.x, b.k, b.g, b.x FROM a, b WHERE {predicate}"
+        ).rows()
+        want = [
+            ra + rb
+            for ra in stored_a
+            for rb in stored_b
+            if all(ra[i] is not None and ra[i] == rb[i] for i in cols)
+        ]
+        assert sorted(got, key=_null_first) == sorted(want, key=_null_first), \
+            predicate
 
 
 @given(table_strategy)

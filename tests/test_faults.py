@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import ColumnDef, Database, TableSchema, integer, varchar
 from repro.faults import FaultInjector, InjectedFault, is_transient
 from repro.runner import BenchmarkConfig, render_full_disclosure, run_benchmark
 
@@ -45,6 +46,26 @@ def test_site_filter_targets_injection():
     injector.at_operator("Scan")  # filtered out: no raise
     with pytest.raises(InjectedFault):
         injector.at_operator("HashJoin(probe)")
+
+
+def test_operator_fault_fires_inside_serial_string_key_join():
+    # the serial sorted probe checks the governor once per chunk, so
+    # operator-scope faults still reach a (two-column, string) join
+    db = Database()
+    for name in ("a", "b"):
+        table = db.create_table(TableSchema(name, [
+            ColumnDef("k", integer()), ColumnDef("s", varchar(1)),
+        ]))
+        table.append_rows([[i % 3, "xyz"[i % 3]] for i in range(10)])
+    sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.s = b.s"
+    assert db.execute(sql).scalar() == 4 * 4 + 3 * 3 + 3 * 3
+    injector = FaultInjector(
+        seed=1, error_rate=1.0, scope=("operator",), site_filter="HashJoin"
+    )
+    db.fault_injector = injector
+    with pytest.raises(InjectedFault, match="HashJoin\\(probe\\)"):
+        db.execute(sql)
+    assert injector.injected_errors == 1
 
 
 def test_scope_gates_injection_points():
